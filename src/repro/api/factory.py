@@ -117,8 +117,8 @@ def make_oracle(
             methods without a kernel seam (the baselines).
         **options: forwarded to the method's constructor (e.g.
             ``num_landmarks=``, ``engine=``, ``store=``, ``budget_s=``)
-            — plus the sharded tier's knobs (``update_mode=``,
-            ``cache_size=``, ...) when ``shards`` is given.
+            — plus the sharded tier's knobs (``cache_size=``,
+            ``max_batch=``, ...) when ``shards`` is given.
 
     Raises:
         KeyError: unknown method name.
@@ -215,7 +215,7 @@ def open_oracle(
             forces copying loads, e.g. for a v1 file); without, the
             index is built once and spooled. Sharded serving is always
             dynamic-capable, so ``dynamic`` is implied. Service knobs
-            (``update_mode=``, ``cache_size=``, ...) pass through
+            (``cache_size=``, ``max_batch=``, ...) pass through
             ``**options``.
         kernel: query kernel backend name (:mod:`repro.core.kernels`).
             Unlike ``**options`` this is *not* a construction knob — it

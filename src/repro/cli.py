@@ -92,6 +92,7 @@ from typing import List, Optional
 
 from repro.api import available_methods, build_oracle, open_oracle
 from repro.api.protocol import ALL_CAPABILITIES
+from repro.core.kernels import KERNEL_NAMES
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.graphs.sampling import sample_vertex_pairs
 from repro.graphs.stats import compute_stats
@@ -379,12 +380,10 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_dataset(args: argparse.Namespace) -> int:
-    from repro.core.batch import coverage_ratio
-
     graph = load_dataset(args.name, scale=args.scale)
     oracle = build_oracle(graph, "hl", num_landmarks=args.landmarks)
     pairs = sample_vertex_pairs(graph, args.pairs, seed=1)
-    coverage = coverage_ratio(oracle, pairs)
+    coverage = oracle.batch_engine().coverage_ratio(pairs)
     print(
         format_table(
             ["dataset", "n", "m", "CT", "ALS", "index", "coverage"],
@@ -660,11 +659,7 @@ def _cmd_methods(_: argparse.Namespace) -> int:
 
 
 def _cmd_kernels(_: argparse.Namespace) -> int:
-    from repro.core.kernels import (
-        KERNEL_NAMES,
-        available_kernels,
-        get_kernel,
-    )
+    from repro.core.kernels import available_kernels, get_kernel
 
     usable = set(available_kernels())
     default = get_kernel().name
@@ -700,7 +695,7 @@ def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
         "--kernel",
         default=None,
         metavar="NAME",
-        help="query kernel backend (numpy/numba/cext/pyloop; "
+        help=f"query kernel backend ({'/'.join(KERNEL_NAMES)}; "
         "default: auto-detect, see 'repro kernels')",
     )
 

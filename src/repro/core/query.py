@@ -70,9 +70,9 @@ class HighwayCoverOracle:
             (mutable landmark-major runs, update-optimal; the dynamic
             oracle's default). ``None`` picks the class default. See
             :mod:`repro.core.labels`.
-        kernel: query kernel backend name (``"numpy"``, ``"numba"``,
-            ``"cext"``, ``"pyloop"``). ``None`` defers to the process
-            default (``REPRO_KERNEL`` or auto-detection); see
+        kernel: query kernel backend name (``"numpy"`` or ``"cext"``).
+            ``None`` defers to the process default (``REPRO_KERNEL`` or
+            auto-detection); see
             :mod:`repro.core.kernels`. All backends are byte-identical —
             this is purely a performance switch.
 

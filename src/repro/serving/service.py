@@ -26,7 +26,7 @@ top of the capability-based oracle API (:mod:`repro.api`):
 * **Thread-parallel execution.** Each entry drains its micro-batches
   (and bulk :meth:`~DistanceService.query_many` calls) through a
   :class:`~repro.serving.QueryExecutor`: when the hosted oracle's
-  kernel releases the GIL (``cext`` / ``numba``), the batch splits
+  kernel releases the GIL (``cext``), the batch splits
   into chunks answered on a pool of ``threads`` worker threads —
   byte-identical, reassembled in order. ``threads=None`` auto-sizes
   the pool (``REPRO_THREADS``, else one thread per CPU iff the kernel

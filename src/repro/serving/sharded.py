@@ -28,20 +28,12 @@ Request flow
   builder's (pinned by the serialization suite).
 * **Dynamic updates** (:meth:`~ShardedDistanceService.insert_edge` /
   :meth:`~ShardedDistanceService.delete_edge`) are applied by the
-  parent's writer oracle (the O(affected) dynamic repair), then
-  **broadcast to every worker** and acknowledged before the call
-  returns. Two propagation modes:
-
-  - ``update_mode="remap"`` (default): the writer publishes a fresh
-    snapshot generation through
-    :class:`~repro.core.serialization.SnapshotSpool` and workers
-    re-map it zero-copy — workers stay memory-constant and never
-    repeat the repair work.
-  - ``update_mode="repair"``: workers hold dynamic (in-RAM) oracles
-    and re-run the O(affected) repair locally — no snapshot I/O, at
-    the cost of N repeated repairs and N RAM copies.
-
-  Either way the writer version counter is bumped and the
+  parent's writer oracle (the O(affected) dynamic repair), which then
+  publishes a fresh snapshot generation through
+  :class:`~repro.core.serialization.SnapshotSpool`; the update is
+  **broadcast to every worker**, which re-maps that generation
+  zero-copy — workers stay memory-constant and never repeat the
+  repair work. The writer version counter is bumped and the
   :class:`QueryCache` invalidated only after every worker acknowledged,
   so a post-update read can never observe a pre-update distance.
 
@@ -110,14 +102,12 @@ def route_of(s: int, t: int, shards: int) -> int:
 
 
 def _worker_main(conn, graph: Graph, snapshot_path: str, use_mmap: bool,
-                 dynamic: bool,
                  kernel: Optional[str] = None,
                  threads: Optional[int] = None,
                  ) -> None:  # pragma: no cover - runs in child
     """Entry point of one shard worker process.
 
-    Opens the shared snapshot (zero-copy when ``use_mmap``), optionally
-    promotes to the dynamic oracle (``update_mode="repair"``), selects
+    Opens the shared snapshot (zero-copy when ``use_mmap``), selects
     the requested query kernel (``kernel`` travels as a name — backends
     hold unpicklable handles and resolve per process), builds the
     worker's :class:`~repro.serving.QueryExecutor` (``threads`` worker
@@ -137,15 +127,11 @@ def _worker_main(conn, graph: Graph, snapshot_path: str, use_mmap: bool,
 
     try:
         oracle = load_oracle(graph, snapshot_path, mmap=use_mmap)
-        if dynamic:
-            from repro.api.factory import _promote_dynamic
-
-            oracle = _promote_dynamic(oracle)
         if kernel is not None:
             oracle.set_kernel(kernel)
         executor = QueryExecutor.for_oracle(oracle, threads=threads)
     except BaseException as exc:  # noqa: BLE001 - forwarded to parent
-        # Startup failed (unreadable snapshot, promotion error): answer
+        # Startup failed (unreadable snapshot, bad kernel): answer
         # every request — the parent's fail-fast ping first — with the
         # real diagnostic instead of dying into an opaque EOFError that
         # only reaches the child's stderr.
@@ -175,25 +161,19 @@ def _worker_main(conn, graph: Graph, snapshot_path: str, use_mmap: bool,
                      np.asarray(executor.run(oracle.query_many, message[1])))
                 )
             elif tag == "update":
+                # Drop the old mapping, apply the edge update to the
+                # worker's graph, map the new generation.
                 _, op, u, v, new_path = message
-                if new_path is None:
-                    # Repair mode: this worker's dynamic oracle redoes the
-                    # O(affected) splice locally.
-                    affected = getattr(oracle, op)(u, v)
-                    conn.send(("ok", affected))
-                else:
-                    # Re-map mode: drop the old mapping, apply the edge
-                    # update to the worker's graph, map the new generation.
-                    mutate = (
-                        "with_edges_added"
-                        if op == "insert_edge"
-                        else "with_edges_removed"
-                    )
-                    new_graph = getattr(oracle.graph, mutate)([(u, v)])
-                    oracle = load_oracle(new_graph, new_path, mmap=use_mmap)
-                    if kernel is not None:
-                        oracle.set_kernel(kernel)
-                    conn.send(("ok", None))
+                mutate = (
+                    "with_edges_added"
+                    if op == "insert_edge"
+                    else "with_edges_removed"
+                )
+                new_graph = getattr(oracle.graph, mutate)([(u, v)])
+                oracle = load_oracle(new_graph, new_path, mmap=use_mmap)
+                if kernel is not None:
+                    oracle.set_kernel(kernel)
+                conn.send(("ok", None))
             elif tag == "ping":
                 conn.send(("ok", {"pid": os.getpid()}))
             elif tag == "stats":
@@ -403,10 +383,6 @@ class ShardedDistanceService:
         index: optional existing snapshot to serve; workers map it
             directly. Without it, :meth:`build` constructs the index and
             publishes generation 0 into the spool.
-        update_mode: ``"remap"`` (default — workers re-map a freshly
-            published snapshot generation after each update, staying
-            zero-copy) or ``"repair"`` (workers hold dynamic in-RAM
-            oracles and repeat the O(affected) repair locally).
         mmap: workers map label arrays zero-copy (default) instead of
             reading them into RAM. Requires v2 snapshots (the default
             everywhere).
@@ -433,23 +409,21 @@ class ShardedDistanceService:
         wal: optional write-ahead-log path making the writer's updates
             crash-durable. Every ``insert_edge``/``delete_edge`` is
             logged (and fsynced, under the default policy) *before* the
-            writer repairs; in ``remap`` mode the log is truncated as
-            soon as the freshly published generation — written together
-            with a ``gen-*.graph`` sidecar of the post-update graph —
-            is durably on disk, so the log only ever holds the
-            in-flight window. An existing log is replayed into the
-            writer on :meth:`build` (restart = snapshot + replay)
-            before generation 0 is published. In ``repair`` mode there
-            is no per-update publish, so the log holds all churn since
-            the last explicit :meth:`save`.
+            writer repairs; the log is truncated as soon as the freshly
+            published generation — written together with a
+            ``gen-*.graph`` sidecar of the post-update graph — is
+            durably on disk, so the log only ever holds the in-flight
+            window. An existing log is replayed into the writer on
+            :meth:`build` (restart = snapshot + replay) before
+            generation 0 is published.
         wal_fsync: log durability policy (``"always"`` / ``"batch"`` /
             ``"never"``); see :data:`repro.core.wal.FSYNC_POLICIES`.
         **build_options: forwarded to the method factory when building
             (``num_landmarks=``, ``engine=``, ...).
 
     Raises:
-        ValueError: on a non-positive shard count, unknown update mode,
-            a method without snapshot support, or build options passed
+        ValueError: on a non-positive shard count, a method without
+            snapshot support, or build options passed
             alongside an existing ``index`` (which never consults them).
     """
 
@@ -469,7 +443,6 @@ class ShardedDistanceService:
         *,
         method: str = "hl",
         index=None,
-        update_mode: str = "remap",
         mmap: bool = True,
         cache_size: int = 65536,
         max_batch: int = 1024,
@@ -485,10 +458,6 @@ class ShardedDistanceService:
 
         if shards < 1:
             raise ValueError("shards must be at least 1")
-        if update_mode not in ("remap", "repair"):
-            raise ValueError(
-                f"unknown update_mode {update_mode!r}; use 'remap' or 'repair'"
-            )
         spec = resolve_method(method)
         if Capability.SNAPSHOT not in spec.capabilities:
             raise ValueError(
@@ -512,7 +481,6 @@ class ShardedDistanceService:
             raise ValueError("threads must be at least 1 (or None for auto)")
         self.shards = int(shards)
         self.method = spec.name
-        self.update_mode = update_mode
         self.mmap = mmap
         self.kernel = kernel
         self.threads = threads
@@ -639,7 +607,6 @@ class ShardedDistanceService:
             ctx = mp.get_context("fork")
         else:  # pragma: no cover - non-fork platforms
             ctx = mp.get_context()
-        dynamic_workers = self.update_mode == "repair"
         for index in range(self.shards):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             process = ctx.Process(
@@ -649,7 +616,6 @@ class ShardedDistanceService:
                     graph,
                     str(self._snapshot_path),
                     self.mmap,
-                    dynamic_workers,
                     self.kernel,
                     self.threads,
                 ),
@@ -814,30 +780,26 @@ class ShardedDistanceService:
             # here, before anything changed — no invalidation needed.
             affected = getattr(self._writer, op)(u, v)
             try:
-                if self.update_mode == "remap":
-                    try:
-                        new_path = self._spool.publish(
-                            self._writer, graph=self._wal is not None
-                        )
-                    except BaseException:
-                        # The writer repaired but no worker can follow:
-                        # every shard is now behind. Poison them all so
-                        # stale answers fail loudly instead of serving.
-                        for shard in self._workers:
-                            shard.poison()
-                        raise
-                    if self._wal is not None:
-                        # The new generation (and its graph sidecar) is
-                        # durably on disk — save_oracle fsyncs before
-                        # renaming — so the logged record for this
-                        # update, and everything before it, is now
-                        # redundant. Crash between publish and this
-                        # truncate is covered by idempotent replay.
-                        self._wal.truncate()
-                    task = ("update", op, u, v, str(new_path))
-                else:
-                    new_path = None
-                    task = ("update", op, u, v, None)
+                try:
+                    new_path = self._spool.publish(
+                        self._writer, graph=self._wal is not None
+                    )
+                except BaseException:
+                    # The writer repaired but no worker can follow:
+                    # every shard is now behind. Poison them all so
+                    # stale answers fail loudly instead of serving.
+                    for shard in self._workers:
+                        shard.poison()
+                    raise
+                if self._wal is not None:
+                    # The new generation (and its graph sidecar) is
+                    # durably on disk — save_oracle fsyncs before
+                    # renaming — so the logged record for this update,
+                    # and everything before it, is now redundant. Crash
+                    # between publish and this truncate is covered by
+                    # idempotent replay.
+                    self._wal.truncate()
+                task = ("update", op, u, v, str(new_path))
                 # Broadcast; every worker acknowledges before we publish
                 # the new version to readers. A shard whose submit or
                 # ack fails is poisoned — it may still hold the
@@ -868,16 +830,13 @@ class ShardedDistanceService:
                 # generation (failed ones are poisoned), so it is the
                 # live file — leaving the old path would misreport
                 # stats() and orphan the new generation in the spool.
-                if new_path is not None:
-                    old_path, self._snapshot_path = self._snapshot_path, new_path
-                    # Only retire generations the spool owns — never a
-                    # user-supplied index file. Unlinking is safe even
-                    # if a poisoned worker still maps the old file: the
-                    # mapping keeps the inode alive until it is dropped.
-                    if self._spool is not None and Path(old_path).parent == Path(
-                        self._spool.directory
-                    ):
-                        self._spool.retire(old_path)
+                old_path, self._snapshot_path = self._snapshot_path, new_path
+                # Only retire generations the spool owns — never a
+                # user-supplied index file. Unlinking is safe even if a
+                # poisoned worker still maps the old file: the mapping
+                # keeps the inode alive until it is dropped.
+                if Path(old_path).parent == Path(self._spool.directory):
+                    self._spool.retire(old_path)
                 if first_error is not None:
                     raise first_error
             finally:
@@ -1047,5 +1006,5 @@ class ShardedDistanceService:
         )
         return (
             f"ShardedDistanceService(shards={self.shards}, "
-            f"mode={self.update_mode}, {state})"
+            f"{state})"
         )

@@ -9,8 +9,7 @@ The bars this suite enforces:
   order.
 * **Snapshot re-map after dynamic updates.** After ``insert_edge`` /
   ``delete_edge`` returns, every worker answers on the updated graph
-  (byte-identical to a fresh build), in both ``remap`` and ``repair``
-  propagation modes, and stale cache entries are gone.
+  (byte-identical to a fresh build), and stale cache entries are gone.
 * **Cache correctness.** The LRU bound, version invalidation, and the
   stale-put rejection that keeps pre-update distances from resurfacing
   — including under concurrent mixed read/write load.
@@ -238,15 +237,14 @@ class TestThreadedWorkers:
             svc.query(0, 1)
 
 
-@pytest.mark.parametrize("update_mode", ["remap", "repair"])
 class TestDynamicUpdatePropagation:
     def test_workers_see_post_update_distances(
-        self, sharded_graph, snapshot_path, update_mode
+        self, sharded_graph, snapshot_path
     ):
         u, v = 0, 499
         assert not sharded_graph.has_edge(u, v)
         with ShardedDistanceService.from_snapshot(
-            sharded_graph, snapshot_path, shards=2, update_mode=update_mode
+            sharded_graph, snapshot_path, shards=2
         ) as svc:
             before = svc.query(u, v)
             assert before > 1.0
@@ -267,11 +265,11 @@ class TestDynamicUpdatePropagation:
                 assert svc.query(int(s), int(t)) == fresh.query(int(s), int(t))
 
     def test_delete_edge_round_trip(
-        self, sharded_graph, snapshot_path, reference_oracle, update_mode
+        self, sharded_graph, snapshot_path, reference_oracle
     ):
         u, v = 0, 499
         with ShardedDistanceService.from_snapshot(
-            sharded_graph, snapshot_path, shards=2, update_mode=update_mode
+            sharded_graph, snapshot_path, shards=2
         ) as svc:
             svc.insert_edge(u, v)
             svc.delete_edge(u, v)
@@ -282,11 +280,11 @@ class TestDynamicUpdatePropagation:
             )
 
     def test_stale_cache_entries_evicted(
-        self, sharded_graph, snapshot_path, update_mode
+        self, sharded_graph, snapshot_path
     ):
         u, v = 1, 498
         with ShardedDistanceService.from_snapshot(
-            sharded_graph, snapshot_path, shards=2, update_mode=update_mode
+            sharded_graph, snapshot_path, shards=2
         ) as svc:
             primed = [(int(s), int(t)) for s, t in
                       sample_vertex_pairs(sharded_graph, 50, seed=13)]
@@ -550,8 +548,6 @@ class TestErrorPaths:
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             ShardedDistanceService(0)
-        with pytest.raises(ValueError):
-            ShardedDistanceService(2, update_mode="teleport")
 
     def test_failed_update_broadcast_poisons_shard(
         self, sharded_graph, snapshot_path
